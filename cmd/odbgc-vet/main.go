@@ -8,10 +8,10 @@
 //	go build -o bin/odbgc-vet ./cmd/odbgc-vet
 //	go vet -vettool="$(pwd)/bin/odbgc-vet" ./...
 //
-// or let the tool drive go vet itself, adding SARIF output, baseline
-// diffing, and stale-suppression detection:
+// or let the tool drive go vet itself, adding stale-suppression
+// detection (check.go):
 //
-//	bin/odbgc-vet check -stale -baseline .odbgc-vet-baseline.json ./...
+//	bin/odbgc-vet check -stale ./...
 //
 // The protocol (the contract go's cmd/go expects from a vet tool, the
 // same one golang.org/x/tools/go/analysis/unitchecker implements) is:
@@ -115,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) (findings bool, err error) {
 		}
 	}
 	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
-		return false, errors.New("usage: odbgc-vet unit.cfg | odbgc-vet check [flags] [packages] (unit mode is normally invoked via go vet -vettool=odbgc-vet)")
+		return false, errors.New("usage: odbgc-vet unit.cfg | odbgc-vet check [-stale] [packages] (unit mode is normally invoked via go vet -vettool=odbgc-vet)")
 	}
 	return runUnit(args[0], stderr)
 }
@@ -361,20 +361,29 @@ func newUsedRecorder() *usedRecorder {
 }
 
 func (r *usedRecorder) record(file string, line int, marker string) {
-	r.seen[fmt.Sprintf("%s:%d:%s", file, line, marker)] = true
+	r.seen[usedKey(file, line, marker)] = true
+}
+
+// usedKey is a matched suppression's entry in a unit's record.
+func usedKey(file string, line int, marker string) string {
+	return fmt.Sprintf("%s:%d:%s", file, line, marker)
 }
 
 // flush writes the unit's record to a file named after the import path:
 // one `covered <file>` line per analyzed source file, one
 // `used <file>:<line>:<marker>` line per matched suppression, sorted.
 // The covered lines let the stale sweep judge only files a unit
-// actually analyzed, so a narrow target pattern cannot make untouched
-// suppressions look stale. Each import path is analyzed at most once
-// per vet invocation, so the name cannot collide within a run.
+// analyzed with the whole suite, so a narrow target pattern cannot make
+// untouched suppressions look stale: a fact-only (VetxOnly) unit runs
+// only the fact analyzers, and covers nothing. Each import path is
+// analyzed at most once per vet invocation, so the name cannot collide
+// within a run.
 func (r *usedRecorder) flush(cfg *vetConfig) error {
 	var lines []string
-	for _, f := range cfg.GoFiles {
-		lines = append(lines, "covered "+f)
+	if !cfg.VetxOnly {
+		for _, f := range cfg.GoFiles {
+			lines = append(lines, "covered "+f)
+		}
 	}
 	for l := range r.seen {
 		lines = append(lines, "used "+l)

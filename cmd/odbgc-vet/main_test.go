@@ -4,16 +4,20 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
 func TestUsageError(t *testing.T) {
-	for _, args := range [][]string{nil, {"a.cfg", "b.cfg"}, {"notacfg"}} {
+	for _, args := range [][]string{nil, {"a.cfg", "b.cfg"}, {"notacfg"}, {"check", "-sarif", "x"}} {
 		var stdout, stderr bytes.Buffer
 		findings, err := run(args, &stdout, &stderr)
 		if err == nil || !strings.Contains(err.Error(), "usage:") {
 			t.Errorf("run(%v): err = %v, want usage error", args, err)
+		}
+		if args != nil && args[0] == "check" && !strings.Contains(err.Error(), "-sarif") {
+			t.Errorf("run(%v): err = %v, want it to name the unknown flag", args, err)
 		}
 		if findings {
 			t.Errorf("run(%v): reported findings on a usage error", args)
@@ -90,5 +94,71 @@ func TestVetxOnly(t *testing.T) {
 	}
 	if _, err := os.Stat(vetx); err != nil {
 		t.Errorf("facts file not written: %v", err)
+	}
+}
+
+// The stale sweep judges every //odbgc:*-ok suppression in a file some
+// full unit covered against the suppressions the units matched. The
+// records are written by the same usedRecorder the vet units use.
+func TestStaleSuppressions(t *testing.T) {
+	const suppressed = `package p
+
+func f() {
+	_ = 1 //odbgc:alloc-ok reason
+}
+`
+	const annotated = `package p
+
+//odbgc:hotpath
+//odbgc:barrier
+func f() {}
+`
+	for _, tc := range []struct {
+		name     string
+		src      string
+		used     bool // the unit matched the suppression on line 4
+		vetxOnly bool // the unit ran only the fact analyzers
+		covered  bool // the unit lists the file among its sources
+		want     bool // one stale finding for line 4
+	}{
+		{name: "used", src: suppressed, used: true, covered: true},
+		{name: "unused in covered file", src: suppressed, covered: true, want: true},
+		{name: "unused in uncovered file", src: suppressed},
+		{name: "unused in fact-only unit", src: suppressed, vetxOnly: true, covered: true},
+		{name: "annotations are not suppressions", src: annotated, covered: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			file := filepath.Join(dir, "p.go")
+			if err := os.WriteFile(file, []byte(tc.src), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			other := filepath.Join(dir, "other.go")
+			if err := os.WriteFile(other, []byte("package p\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cfg := &vetConfig{ImportPath: "example.com/p", GoFiles: []string{other}, VetxOnly: tc.vetxOnly}
+			if tc.covered {
+				cfg.GoFiles = append(cfg.GoFiles, file)
+			}
+			r := &usedRecorder{dir: dir, seen: map[string]bool{}}
+			if tc.used {
+				r.record(file, 4, "alloc-ok")
+			}
+			if err := r.flush(cfg); err != nil {
+				t.Fatal(err)
+			}
+			got, err := staleSuppressions(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			if tc.want {
+				want = []string{file + ":4: stale suppression //odbgc:alloc-ok"}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("stale = %q, want %q", got, want)
+			}
+		})
 	}
 }

@@ -96,33 +96,13 @@ func (p *Pass) Reportf(pos token.Pos, marker string, format string, args ...any)
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// suppressionPrefix introduces every in-source suppression comment:
-// //odbgc:<marker> <reason>.
-const suppressionPrefix = "odbgc:"
-
 // Suppressed reports whether the line holding pos, or the line
 // immediately above it, carries an //odbgc:<marker> comment.
 func (p *Pass) Suppressed(pos token.Pos, marker string) bool {
 	if p.suppressions == nil {
 		p.suppressions = map[string]map[int]string{}
 		for _, f := range p.Files {
-			name := p.Fset.Position(f.Pos()).Filename
-			lines := map[int]string{}
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					text := strings.TrimPrefix(c.Text, "//")
-					text = strings.TrimSpace(text)
-					if !strings.HasPrefix(text, suppressionPrefix) {
-						continue
-					}
-					word := strings.TrimPrefix(text, suppressionPrefix)
-					if i := strings.IndexAny(word, " \t"); i >= 0 {
-						word = word[:i]
-					}
-					lines[p.Fset.Position(c.Pos()).Line] = word
-				}
-			}
-			p.suppressions[name] = lines
+			p.suppressions[p.Fset.Position(f.Pos()).Filename] = Suppressions(p.Fset, f)
 		}
 	}
 	posn := p.Fset.Position(pos)
@@ -139,6 +119,32 @@ func (p *Pass) Suppressed(pos token.Pos, marker string) bool {
 		}
 	}
 	return false
+}
+
+// Suppressions returns every suppression comment in f, mapping its line
+// to its marker. A suppression is a comment of the form
+// //odbgc:<marker> <reason> whose marker ends in "-ok"; annotations such
+// as //odbgc:hotpath and //odbgc:barrier are not suppressions. Both the
+// analyzers (through Pass.Suppressed) and the stale-suppression sweep
+// of `odbgc-vet check -stale` read suppressions through this function.
+func Suppressions(fset *token.FileSet, f *ast.File) map[int]string {
+	lines := map[int]string{}
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+			word, ok := strings.CutPrefix(text, "odbgc:")
+			if !ok {
+				continue
+			}
+			if i := strings.IndexAny(word, " \t"); i >= 0 {
+				word = word[:i]
+			}
+			if strings.HasSuffix(word, "-ok") {
+				lines[fset.Position(c.Pos()).Line] = word
+			}
+		}
+	}
+	return lines
 }
 
 // InTestFile reports whether pos lies in a _test.go file. The analyzers

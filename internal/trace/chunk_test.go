@@ -249,9 +249,6 @@ func TestChunkStreamReplay(t *testing.T) {
 	if s.Chunks() < 3 {
 		t.Fatalf("stream has %d chunks, want several", s.Chunks())
 	}
-	if s.ResidentBytes() <= 0 || s.ResidentBytes() > 100<<10 {
-		t.Fatalf("ResidentBytes = %d implausible for 1 KB chunks", s.ResidentBytes())
-	}
 	var got collectSink
 	if err := s.Replay(&got); err != nil {
 		t.Fatal(err)

@@ -24,7 +24,6 @@ type ChunkStream struct {
 	events      int64
 	chunks      int
 	fingerprint uint64
-	maxPayload  int
 }
 
 // OpenChunkStream opens path as a chunked trace, validating the magic
@@ -60,7 +59,6 @@ func OpenChunkStream(path string) (*ChunkStream, error) {
 			return nil, fmt.Errorf("%s: trace: chunk %d: truncated payload (file ends %d bytes short)", path, cr.chunks, end-s.sizeBytes)
 		}
 		cr.advance(h)
-		s.maxPayload = max(s.maxPayload, int(h.plen))
 	}
 	s.events, s.chunks, s.fingerprint = cr.events, cr.chunks, cr.fingerprint
 	return s, nil
@@ -81,13 +79,6 @@ func (s *ChunkStream) Fingerprint() uint64 { return s.fingerprint }
 
 // SizeBytes reports the on-disk size of the trace file.
 func (s *ChunkStream) SizeBytes() int64 { return s.sizeBytes }
-
-// ResidentBytes estimates the peak memory one replay of the stream
-// holds: two pipeline slots, each with the largest payload plus its
-// decoded columns (at most one Kind and four uint32 column bytes per
-// payload byte, in practice ~4x). This — not the trace size — is what
-// trace caches charge against their budget for a streamed trace.
-func (s *ChunkStream) ResidentBytes() int64 { return 2 * 5 * int64(s.maxPayload) }
 
 // Replay streams every event in the file into sink in recording order.
 func (s *ChunkStream) Replay(sink Sink) error { return s.ReplayHook(sink, -1, nil) }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 
 	"odbgc/internal/trace"
@@ -79,18 +78,6 @@ func (rt *RecordedTrace) Replay(sink trace.Sink, buildDone func()) error {
 	return rt.Frozen.ReplayHook(sink, at, buildDone)
 }
 
-// SizeBytes is the trace's memory footprint for cache accounting: the
-// frozen columns for an in-memory trace, or the replay pipeline's
-// resident bytes — not the on-disk size — for a streamed one. That
-// difference is the point of spilling: a 100-million-event trace charges
-// the cache two chunks, not gigabytes.
-func (rt *RecordedTrace) SizeBytes() int64 {
-	if rt.Stream != nil {
-		return rt.Stream.ResidentBytes()
-	}
-	return rt.Frozen.SizeBytes()
-}
-
 // DefaultTraceCacheBytes is the suite harness's default cache budget. It
 // comfortably holds the base experiments' ten seed traces while forcing
 // eviction across the Figure 6 scalability sweep's larger ones.
@@ -125,13 +112,6 @@ type TraceCache struct {
 	head, tail int32 // LRU order: head = most recent
 	free       int32 // free-slot chain (through cacheNode.next)
 	stats      CacheStats
-
-	// Spill mode (EnableSpill): configurations whose TotalAllocBytes
-	// meets spillMin generate straight to chunked files in spillDir and
-	// charge the cache their replay pipeline's resident bytes instead of
-	// the whole trace.
-	spillDir string
-	spillMin int64
 }
 
 // nilNode terminates node chains.
@@ -156,12 +136,9 @@ type genResult struct {
 	err   error
 }
 
-// recordTrace and recordStreamedTrace are Record and RecordStreamed,
-// indirected so cache tests can inject failing or panicking generations.
-var (
-	recordTrace         = Record
-	recordStreamedTrace = RecordStreamed
-)
+// recordTrace is Record, indirected so cache tests can inject failing or
+// panicking generations.
+var recordTrace = Record
 
 // NewTraceCache returns a cache bounded to budget bytes of recorded
 // trace data; budget <= 0 disables eviction (unbounded).
@@ -173,34 +150,6 @@ func NewTraceCache(budget int64) *TraceCache {
 		tail:    nilNode,
 		free:    nilNode,
 	}
-}
-
-// EnableSpill directs the cache to generate any configuration whose
-// TotalAllocBytes is at least minAllocBytes straight to a chunked trace
-// file under dir instead of holding it in memory. Spilled traces charge
-// the budget their replay pipeline's resident bytes (two chunks), so the
-// Figure 6 sweep's largest seeds no longer evict everything else. The
-// caller owns dir's lifetime; evicting a spilled entry does not delete
-// its file (outstanding holders may still be replaying it), so pass a
-// directory whose cleanup is scheduled, such as a test TempDir.
-func (c *TraceCache) EnableSpill(dir string, minAllocBytes int64) {
-	c.mu.Lock()
-	c.spillDir, c.spillMin = dir, minAllocBytes
-	c.mu.Unlock()
-}
-
-// generate produces cfg's trace by the mode the cache is configured for:
-// in memory, or spilled to a chunked file when cfg allocates enough to
-// cross the spill threshold.
-func (c *TraceCache) generate(cfg Config) (*RecordedTrace, error) {
-	c.mu.Lock()
-	dir, min := c.spillDir, c.spillMin
-	c.mu.Unlock()
-	if dir != "" && cfg.TotalAllocBytes >= min {
-		path := filepath.Join(dir, fmt.Sprintf("trace-%016x.odbgcck", cfg.Fingerprint()))
-		return recordStreamedTrace(cfg, path, 0)
-	}
-	return recordTrace(cfg)
 }
 
 // Get returns cfg's recorded trace, generating it on first use. Callers
@@ -241,7 +190,7 @@ func (c *TraceCache) Get(cfg Config) (*RecordedTrace, error) {
 		close(res.ready)
 		panic(r)
 	}()
-	rt, err := c.generate(cfg)
+	rt, err := recordTrace(cfg)
 	completed = true
 	res.rt, res.err = rt, err
 
@@ -253,7 +202,7 @@ func (c *TraceCache) Get(cfg Config) (*RecordedTrace, error) {
 		// Do not cache failures; a later Get retries.
 		c.removeLocked(i)
 	} else {
-		size := rt.SizeBytes()
+		size := rt.Frozen.SizeBytes()
 		c.nodes[i].size = size
 		c.used += size
 		if c.used > c.stats.PeakBytes {

@@ -69,7 +69,7 @@ func TestRecordMatchesLiveGeneration(t *testing.T) {
 	if rt.BuildEvents <= 0 || rt.BuildEvents >= rt.Frozen.Len() {
 		t.Fatalf("build boundary %d outside (0, %d)", rt.BuildEvents, rt.Frozen.Len())
 	}
-	if rt.SizeBytes() <= 0 {
+	if rt.Frozen.SizeBytes() <= 0 {
 		t.Fatal("trace reports no size")
 	}
 }
@@ -103,8 +103,8 @@ func TestTraceCacheSharesGenerations(t *testing.T) {
 	if st.Misses != 1 || st.Hits != callers-1 {
 		t.Fatalf("stats = %+v, want 1 miss and %d hits", st, callers-1)
 	}
-	if st.UsedBytes != traces[0].SizeBytes() {
-		t.Fatalf("used %d != trace size %d", st.UsedBytes, traces[0].SizeBytes())
+	if st.UsedBytes != traces[0].Frozen.SizeBytes() {
+		t.Fatalf("used %d != trace size %d", st.UsedBytes, traces[0].Frozen.SizeBytes())
 	}
 }
 
@@ -114,7 +114,7 @@ func TestTraceCacheEvictsLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A budget of ~1.5 traces keeps the newest trace only.
-	c := NewTraceCache(one.SizeBytes() * 3 / 2)
+	c := NewTraceCache(one.Frozen.SizeBytes() * 3 / 2)
 	for seed := int64(1); seed <= 3; seed++ {
 		if _, err := c.Get(cacheTestConfig(seed)); err != nil {
 			t.Fatal(err)
@@ -124,7 +124,7 @@ func TestTraceCacheEvictsLRU(t *testing.T) {
 	if st.Evictions == 0 {
 		t.Fatalf("no evictions under budget pressure: %+v", st)
 	}
-	if st.UsedBytes > one.SizeBytes()*3/2 {
+	if st.UsedBytes > one.Frozen.SizeBytes()*3/2 {
 		t.Fatalf("used %d exceeds budget: %+v", st.UsedBytes, st)
 	}
 	// The most recent seed is still cached; an older one regenerates.
