@@ -10,11 +10,12 @@
 //
 // The chunked format, the default and the only one gcsim and traceinfo
 // read, streams fixed-size CRC-guarded chunks to disk as they fill, so
-// the encoded trace never resides in memory (the generator's own state
-// still scales with its workload model); gcsim replays chunked traces
-// through a prefetching pipeline at a fixed two-chunk memory budget no
-// matter how long the trace is. -format jsonl writes a human-readable
-// JSON Lines export for debugging and external tools.
+// the encoded trace never resides in memory (the generator's own state is
+// bounded by the live set plus 4 bytes per tree node created); gcsim
+// replays chunked traces through a prefetching pipeline at a fixed
+// two-chunk memory budget no matter how long the trace is. -format jsonl
+// writes a human-readable JSON Lines export for debugging and external
+// tools.
 package main
 
 import (

@@ -43,27 +43,36 @@ type Stats struct {
 	// subset that landed in a different tree (CrossTreeFraction > 0).
 	DenseEdges     int64
 	CrossTreeEdges int64
-	// EdgeReadWriteRatio is Reads divided by Writes+Creates-with-parent —
-	// the paper keeps it around 15–20.
+	// EdgeReadWriteRatio is Reads divided by Writes+Creates (every
+	// create counts, roots and large leaves included) — the paper keeps
+	// it around 15–20.
 	EdgeReadWriteRatio float64
 }
 
-// node is the generator's private view of one tree node.
+// noSlot marks an absent child and a dead sampling-pool entry.
+const noSlot int32 = -1
+
+// node is the generator's private view of one alive tree node. It lives
+// in a Generator.store slot that is recycled once the node dies, so the
+// generator refers to nodes by slot and keeps the OID only to write
+// events.
 type node struct {
 	oid      heap.OID
-	kids     [2]heap.OID
-	size     int64    // node size, excluding any attached large leaf
-	large    int64    // size of the attached large leaf, 0 if none
 	largeOID heap.OID // OID of the attached large leaf, NilOID if none
-	alive    bool
+	size     int64    // node size, excluding any attached large leaf
+	kids     [2]int32 // child slots, noSlot if none
+	pos      int32    // index of the node's entry in its tree's pool
 }
 
 // tree is one augmented binary tree.
 type tree struct {
-	root heap.OID
-	// alive is a sampling pool for uniform picks; dead entries are
-	// compacted lazily. aliveCount is the exact number of alive nodes.
-	alive      []heap.OID
+	root int32 // slot of the root, which is never deleted
+	// pool is a sampling pool of slots for uniform picks. killSubtree
+	// marks a dead node's entry noSlot, and pickAlive swap-removes dead
+	// entries lazily as it draws them, so the pool's length — which
+	// every draw depends on — evolves exactly as if it held OIDs.
+	// aliveCount is the exact number of alive nodes.
+	pool       []int32
 	aliveCount int
 	// idx is the tree's position in Generator.trees (and its slot in the
 	// Fenwick index), -1 until the tree is registered.
@@ -78,19 +87,25 @@ type Generator struct {
 	sink trace.Sink
 
 	trees []*tree
-	// nodes is the node store, indexed by OID (OIDs are handed out
-	// sequentially). Slots holding large-leaf OIDs stay zero and are never
-	// looked up.
-	nodes      []node
+	// store holds the alive nodes; killSubtree pushes a dead node's slot
+	// on free and createNode reuses it, so the store's length is the
+	// peak alive node count, not the number of OIDs ever issued.
+	store      []node
+	free       []int32
 	nextOID    heap.OID
 	totalAlive int
 	// treeBIT is a 1-based Fenwick index over the trees' aliveCount, so
-	// the alive-weighted tree pick in pickTree is O(log trees). Chopped-
-	// down trees stay in the list forever (the live setpoint replaces
-	// them with fresh ones), so with a long churn phase the tree count
-	// grows linearly with total allocation and a linear scan per
-	// deletion turns the whole run quadratic.
+	// the alive-weighted tree pick in pickTree is O(log trees). Trees are
+	// never removed: pickTreeUniform draws over every tree ever built,
+	// so dropping a chopped-down one would change the trace. With a long
+	// churn phase the tree count grows linearly with total allocation,
+	// and a linear scan per deletion would turn the whole run quadratic.
 	treeBIT []int
+
+	// Scratch reused across calls: queue by the breadth-first walks
+	// (buildTreeSized, traverseBreadthFirst), which never nest, and
+	// stack by killSubtree.
+	queue, stack []int32
 
 	liveBytes  int64
 	allocBytes int64
@@ -201,32 +216,40 @@ func (g *Generator) nodeSize() int64 {
 	return g.cfg.MinObjectSize + g.rng.Int63n(g.cfg.MaxObjectSize-g.cfg.MinObjectSize+1)
 }
 
-// createNode allocates a node object under parent (NilOID for a tree
-// root), registers it in t, and possibly attaches a dense edge and a large
-// leaf.
-func (g *Generator) createNode(t *tree, parent heap.OID, parentField int) (heap.OID, error) {
+// createNode allocates a node object under the node in slot parent
+// (noSlot for a tree root), registers it in t, and possibly attaches a
+// dense edge and a large leaf. It returns the new node's slot.
+func (g *Generator) createNode(t *tree, parent int32, parentField int) (int32, error) {
 	oid := g.nextOID
 	g.nextOID++
 	size := g.nodeSize()
+	parentOID := heap.NilOID
+	if parent != noSlot {
+		parentOID = g.store[parent].oid
+	}
 	if err := g.emit(trace.Event{
 		Kind: trace.KindCreate, OID: oid, Size: size, NFields: nodeFields,
-		Parent: parent, ParentField: parentField,
+		Parent: parentOID, ParentField: parentField,
 	}); err != nil {
-		return 0, err
+		return noSlot, err
 	}
-	if want := int(oid) + 1; want > len(g.nodes) {
-		g.nodes = append(g.nodes, make([]node, want-len(g.nodes))...)
+	var s int32
+	if n := len(g.free); n > 0 {
+		s = g.free[n-1]
+		g.free = g.free[:n-1]
+	} else {
+		s = int32(len(g.store))
+		g.store = append(g.store, node{})
 	}
-	n := &g.nodes[oid]
-	*n = node{oid: oid, size: size, alive: true}
-	t.alive = append(t.alive, oid)
+	g.store[s] = node{oid: oid, size: size, kids: [2]int32{noSlot, noSlot}, pos: int32(len(t.pool))}
+	t.pool = append(t.pool, s)
 	t.aliveCount++
 	g.totalAlive++
 	if t.idx >= 0 {
 		g.bitAdd(t.idx, 1)
 	}
-	if parent != heap.NilOID {
-		g.nodes[parent].kids[parentField] = oid
+	if parent != noSlot {
+		g.store[parent].kids[parentField] = s
 	}
 	g.liveBytes += size
 	g.allocBytes += size
@@ -237,19 +260,19 @@ func (g *Generator) createNode(t *tree, parent heap.OID, parentField int) (heap.
 	// cross-tree branch draws randomness only when the knob is set, so
 	// CrossTreeFraction == 0 reproduces existing traces bit-identically.
 	if g.rng.Float64() < g.cfg.DenseEdgeFraction {
-		target, crossed := heap.NilOID, false
+		target, crossed := noSlot, false
 		if g.cfg.CrossTreeFraction > 0 && g.rng.Float64() < g.cfg.CrossTreeFraction {
 			if other := g.pickTreeUniform(); other != nil {
 				target = g.pickAlive(other)
 				crossed = other != t
 			}
 		}
-		if target == heap.NilOID {
+		if target == noSlot {
 			target, crossed = g.pickAlive(t), false
 		}
-		if target != heap.NilOID && target != oid {
-			if err := g.emit(trace.Event{Kind: trace.KindWrite, OID: oid, Field: fieldDense, Target: target}); err != nil {
-				return 0, err
+		if target != noSlot && target != s {
+			if err := g.emit(trace.Event{Kind: trace.KindWrite, OID: oid, Field: fieldDense, Target: g.store[target].oid}); err != nil {
+				return noSlot, err
 			}
 			g.stats.DenseEdges++
 			if crossed {
@@ -266,15 +289,14 @@ func (g *Generator) createNode(t *tree, parent heap.OID, parentField int) (heap.
 			Kind: trace.KindCreate, OID: largeOID, Size: g.cfg.LargeObjectSize,
 			NFields: 0, Parent: oid, ParentField: fieldLarge,
 		}); err != nil {
-			return 0, err
+			return noSlot, err
 		}
-		n.large = g.cfg.LargeObjectSize
-		n.largeOID = largeOID
+		g.store[s].largeOID = largeOID
 		g.liveBytes += g.cfg.LargeObjectSize
 		g.allocBytes += g.cfg.LargeObjectSize
 		g.stats.LargeObjects++
 	}
-	return oid, nil
+	return s, nil
 }
 
 // buildTree creates one augmented binary tree breadth-first with a size
@@ -289,13 +311,14 @@ func (g *Generator) buildTreeSized(target int) error {
 	if target < 2 {
 		target = 2
 	}
-	t := &tree{idx: -1}
-	root, err := g.createNode(t, heap.NilOID, 0)
+	// The fill below creates exactly target nodes in t.
+	t := &tree{idx: -1, pool: make([]int32, 0, target)}
+	root, err := g.createNode(t, noSlot, 0)
 	if err != nil {
 		return err
 	}
 	t.root = root
-	if err := g.emit(trace.Event{Kind: trace.KindRoot, OID: root}); err != nil {
+	if err := g.emit(trace.Event{Kind: trace.KindRoot, OID: g.store[root].oid}); err != nil {
 		return err
 	}
 	t.idx = len(g.trees)
@@ -305,36 +328,39 @@ func (g *Generator) buildTreeSized(target int) error {
 	g.stats.Trees++
 
 	// Breadth-first fill: attach children left-to-right, level by level.
-	queue := []heap.OID{root}
+	g.queue = append(g.queue[:0], root)
 	count := 1
-	for count < target && len(queue) > 0 {
-		parent := queue[0]
-		queue = queue[1:]
+	for head := 0; count < target && head < len(g.queue); head++ {
+		parent := g.queue[head]
 		for f := 0; f < 2 && count < target; f++ {
 			child, err := g.createNode(t, parent, f)
 			if err != nil {
 				return err
 			}
-			queue = append(queue, child)
+			g.queue = append(g.queue, child)
 			count++
 		}
 	}
 	return nil
 }
 
-// pickAlive returns a uniformly random alive node of t, compacting the
-// sampling pool as it goes, or NilOID if the tree is dead.
-func (g *Generator) pickAlive(t *tree) heap.OID {
-	for len(t.alive) > 0 {
-		i := g.rng.Intn(len(t.alive))
-		oid := t.alive[i]
-		if g.nodes[oid].alive {
-			return oid
+// pickAlive returns the slot of a uniformly random alive node of t,
+// compacting the sampling pool as it goes, or noSlot if the tree is dead.
+func (g *Generator) pickAlive(t *tree) int32 {
+	for len(t.pool) > 0 {
+		i := g.rng.Intn(len(t.pool))
+		if s := t.pool[i]; s != noSlot {
+			return s
 		}
-		t.alive[i] = t.alive[len(t.alive)-1]
-		t.alive = t.alive[:len(t.alive)-1]
+		last := len(t.pool) - 1
+		moved := t.pool[last]
+		t.pool[i] = moved
+		t.pool = t.pool[:last]
+		if moved != noSlot {
+			g.store[moved].pos = int32(i)
+		}
 	}
-	return heap.NilOID
+	return noSlot
 }
 
 // pickTreeUniform returns a uniformly random tree (the paper: "the
@@ -347,6 +373,8 @@ func (g *Generator) pickTreeUniform() *tree {
 	}
 	t := g.trees[g.rng.Intn(len(g.trees))]
 	if t.aliveCount == 0 {
+		// Unreachable: deletions never kill a root, so every tree keeps
+		// aliveCount >= 1. Kept as a guard for callers that handle nil.
 		return nil
 	}
 	return t
@@ -415,45 +443,44 @@ func (g *Generator) traversalAction() error {
 	}
 	if roll < g.cfg.PNoTraversal+g.cfg.PDepthFirst {
 		g.stats.TraversalsDFS++
-		return g.traverseDepthFirst(t, t.root)
+		return g.traverseDepthFirst(t.root)
 	}
 	g.stats.TraversalsBFS++
 	return g.traverseBreadthFirst(t)
 }
 
-// visit reads a node, occasionally its large leaf, and occasionally
-// modifies it.
-func (g *Generator) visit(t *tree, oid heap.OID) error {
-	if err := g.emit(trace.Event{Kind: trace.KindRead, OID: oid}); err != nil {
+// visit reads the node in slot s, occasionally its large leaf, and
+// occasionally modifies it.
+func (g *Generator) visit(s int32) error {
+	n := g.store[s]
+	if err := g.emit(trace.Event{Kind: trace.KindRead, OID: n.oid}); err != nil {
 		return err
 	}
-	n := &g.nodes[oid]
 	if n.largeOID != heap.NilOID && g.rng.Float64() < g.cfg.PReadLarge {
 		if err := g.emit(trace.Event{Kind: trace.KindRead, OID: n.largeOID}); err != nil {
 			return err
 		}
 	}
 	if g.rng.Float64() < g.cfg.PModify {
-		if err := g.emit(trace.Event{Kind: trace.KindModify, OID: oid}); err != nil {
+		if err := g.emit(trace.Event{Kind: trace.KindModify, OID: n.oid}); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (g *Generator) traverseDepthFirst(t *tree, oid heap.OID) error {
-	if err := g.visit(t, oid); err != nil {
+func (g *Generator) traverseDepthFirst(s int32) error {
+	if err := g.visit(s); err != nil {
 		return err
 	}
-	n := &g.nodes[oid]
-	for _, kid := range n.kids {
-		if kid == heap.NilOID {
+	for _, kid := range g.store[s].kids {
+		if kid == noSlot {
 			continue
 		}
 		if g.rng.Float64() < g.cfg.PSkipEdge {
 			continue
 		}
-		if err := g.traverseDepthFirst(t, kid); err != nil {
+		if err := g.traverseDepthFirst(kid); err != nil {
 			return err
 		}
 	}
@@ -461,21 +488,20 @@ func (g *Generator) traverseDepthFirst(t *tree, oid heap.OID) error {
 }
 
 func (g *Generator) traverseBreadthFirst(t *tree) error {
-	queue := []heap.OID{t.root}
-	for len(queue) > 0 {
-		oid := queue[0]
-		queue = queue[1:]
-		if err := g.visit(t, oid); err != nil {
+	g.queue = append(g.queue[:0], t.root)
+	for head := 0; head < len(g.queue); head++ {
+		s := g.queue[head]
+		if err := g.visit(s); err != nil {
 			return err
 		}
-		for _, kid := range g.nodes[oid].kids {
-			if kid == heap.NilOID {
+		for _, kid := range g.store[s].kids {
+			if kid == noSlot {
 				continue
 			}
 			if g.rng.Float64() < g.cfg.PSkipEdge {
 				continue
 			}
-			queue = append(queue, kid)
+			g.queue = append(g.queue, kid)
 		}
 	}
 	return nil
@@ -493,56 +519,56 @@ func (g *Generator) deleteRandomEdge() (bool, error) {
 		if t == nil {
 			return false, nil
 		}
-		oid := g.pickAlive(t)
-		if oid == heap.NilOID {
+		s := g.pickAlive(t)
+		if s == noSlot {
 			continue
 		}
-		n := &g.nodes[oid]
+		kids := g.store[s].kids
 		f := g.rng.Intn(2)
-		if n.kids[f] == heap.NilOID {
+		if kids[f] == noSlot {
 			f = 1 - f
 		}
-		if n.kids[f] == heap.NilOID {
+		if kids[f] == noSlot {
 			continue
 		}
-		child := n.kids[f]
-		if err := g.emit(trace.Event{Kind: trace.KindWrite, OID: oid, Field: f, Target: heap.NilOID}); err != nil {
+		if err := g.emit(trace.Event{Kind: trace.KindWrite, OID: g.store[s].oid, Field: f, Target: heap.NilOID}); err != nil {
 			return false, err
 		}
 		g.stats.Deletions++
-		n.kids[f] = heap.NilOID
-		g.killSubtree(t, child)
+		g.store[s].kids[f] = noSlot
+		g.killSubtree(t, kids[f])
 		return true, nil
 	}
 	return false, nil
 }
 
-// killSubtree marks the subtree rooted at oid dead in the generator's
-// model and subtracts its bytes from the live estimate.
-func (g *Generator) killSubtree(t *tree, oid heap.OID) {
+// killSubtree removes the subtree of t rooted at slot s from the
+// generator's model: it marks each node's pool entry dead, subtracts its
+// bytes from the live estimate and frees its slot. Alive nodes only
+// ever point at alive children, so every node reached is alive.
+func (g *Generator) killSubtree(t *tree, s int32) {
 	killed := 0
-	stack := []heap.OID{oid}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n := &g.nodes[cur]
-		if !n.alive {
-			continue
-		}
-		n.alive = false
-		t.aliveCount--
-		g.totalAlive--
+	g.stack = append(g.stack[:0], s)
+	for len(g.stack) > 0 {
+		cur := g.stack[len(g.stack)-1]
+		g.stack = g.stack[:len(g.stack)-1]
+		n := &g.store[cur]
+		t.pool[n.pos] = noSlot
 		killed++
-		g.liveBytes -= n.size + n.large
+		g.liveBytes -= n.size
+		if n.largeOID != heap.NilOID {
+			g.liveBytes -= g.cfg.LargeObjectSize
+		}
 		for _, kid := range n.kids {
-			if kid != heap.NilOID {
-				stack = append(stack, kid)
+			if kid != noSlot {
+				g.stack = append(g.stack, kid)
 			}
 		}
+		g.free = append(g.free, cur)
 	}
-	if killed > 0 {
-		g.bitAdd(t.idx, -killed)
-	}
+	t.aliveCount -= killed
+	g.totalAlive -= killed
+	g.bitAdd(t.idx, -killed)
 }
 
 // grow restores the live-byte setpoint by creating one full-size fresh
