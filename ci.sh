@@ -53,19 +53,23 @@ go run ./cmd/experiments -selfcheck -short -q
 # Streaming smoke: generate a ~5M-event chunked trace and replay it into
 # a full simulation under a hard memory ceiling far below the decoded
 # trace's in-memory footprint — proof the streamed path holds its
-# constant-memory claim end to end. (The simulator's object table fits
-# comfortably; a whole-trace load would not.) Generation runs under its
-# own ceiling: the generator's state is bounded by its live node count.
+# constant-memory claim end to end. (The simulator's state is its
+# resident objects plus an 8-byte index entry per OID issued; a
+# whole-trace load would not fit.) Generation runs under its own
+# ceiling: the generator's state is bounded by its live node count.
 # GOMEMLIMIT is only a soft limit (the runtime overshoots it rather than
-# fail), so TestGeneratorStateBoundedByLiveNodes in internal/workload is
-# the hard guard on that bound; the tracegen binary is built first so
-# the ceiling applies to generation, not to the compiler.
+# fail), so TestGeneratorStateBoundedByLiveNodes in internal/workload and
+# TestSimMemoryBoundedByResidentObjects in internal/sim are the hard
+# guards on those bounds. The binaries are built first so the ceilings
+# apply to generation and replay, not to the compiler.
 stream_tmp=$(mktemp -d)
 trap 'rm -rf "$stream_tmp"' EXIT
 go build -o bin/tracegen ./cmd/tracegen
+go build -o bin/gcsim ./cmd/gcsim
+go build -o bin/traceinfo ./cmd/traceinfo
 GOMEMLIMIT=48MiB bin/tracegen -o "$stream_tmp/stream.odbgcck" -format chunked -alloc 50000000
-GOMEMLIMIT=192MiB go run ./cmd/gcsim -trace "$stream_tmp/stream.odbgcck"
-GOMEMLIMIT=64MiB go run ./cmd/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
+GOMEMLIMIT=96MiB bin/gcsim -trace "$stream_tmp/stream.odbgcck"
+GOMEMLIMIT=64MiB bin/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
 # Sharded smoke: the same streamed replay demultiplexed onto 4 shard
 # goroutines with cross-shard remset exchange — once under the race
 # detector on a cross-tree trace (the exchange protocol is the one place
@@ -73,7 +77,7 @@ GOMEMLIMIT=64MiB go run ./cmd/traceinfo -chunk 0 "$stream_tmp/stream.odbgcck"
 # sharded path inherits the streaming pipeline's constant-memory bound.
 bin/tracegen -o "$stream_tmp/cross.odbgcck" -format chunked -alloc 10000000 -cross 0.2
 go run -race ./cmd/gcsim -trace "$stream_tmp/cross.odbgcck" -shards 4 -epoch-events 4096
-GOMEMLIMIT=192MiB go run ./cmd/gcsim -trace "$stream_tmp/stream.odbgcck" -shards 4
+GOMEMLIMIT=192MiB bin/gcsim -trace "$stream_tmp/stream.odbgcck" -shards 4
 # Recording + query smoke: a reduced experiments run writes a structured
 # .odbgcrec recording; odbgc-query must answer an aggregate query over
 # it and regenerate the figure CSVs byte-identically to the direct emit.

@@ -69,7 +69,7 @@ type pointerLoc struct {
 //     pointer (no stale or corrupted entries);
 //   - the out-set of each partition must hold exactly the objects with at
 //     least one outgoing inter-partition pointer;
-//   - every object's dense out-count must equal its actual number of
+//   - every object's out-count must equal its actual number of
 //     out-of-partition fields.
 //
 // It is implemented purely against the public heap and remset API, so it
@@ -151,7 +151,7 @@ func Remsets(h *heap.Heap, rem *remset.Table) error {
 		}
 	}
 
-	// Out-sets and the dense out-counts.
+	// Out-sets and the out-counts.
 	for pid := 0; pid < h.NumPartitions(); pid++ {
 		p := heap.PartitionID(pid)
 		members := wantOutMembers[p]
@@ -173,15 +173,33 @@ func Remsets(h *heap.Heap, rem *remset.Table) error {
 			return fmt.Errorf("check: out-set of partition %d lists %d objects, heap has %d with out-pointers", p, seen, len(members))
 		}
 	}
-	for oid := heap.OID(1); oid < h.OIDBound(); oid++ {
-		if h.Get(oid) == nil {
-			continue
-		}
+	return lowestViolation(h, func(oid heap.OID) error {
 		if got, want := rem.OutCount(oid), wantOutCount[oid]; got != want {
 			return fmt.Errorf("check: object %d out-count %d, heap has %d out-of-partition fields", oid, got, want)
 		}
+		return nil
+	})
+}
+
+// lowestViolation returns the error check reports for the lowest resident
+// OID it fails on, or nil. It walks the partitions' resident lists, so it
+// costs O(resident objects) however many OIDs the heap has issued, and
+// the violation it names does not depend on the order objects sit in
+// those lists.
+func lowestViolation(h *heap.Heap, check func(heap.OID) error) error {
+	var first error
+	var lowest heap.OID
+	for pid := 0; pid < h.NumPartitions(); pid++ {
+		h.Partition(heap.PartitionID(pid)).Objects(func(oid heap.OID) {
+			if first != nil && oid > lowest {
+				return
+			}
+			if err := check(oid); err != nil {
+				first, lowest = err, oid
+			}
+		})
 	}
-	return nil
+	return first
 }
 
 // Weights verifies the WeightedPointer metadata bounds: every resident
@@ -190,19 +208,16 @@ func Remsets(h *heap.Heap, rem *remset.Table) error {
 // weight exactly 1 — roots are relaxed to 1 when rooted and weights only
 // decrease.
 func Weights(h *heap.Heap) error {
-	for oid := heap.OID(1); oid < h.OIDBound(); oid++ {
+	return lowestViolation(h, func(oid heap.OID) error {
 		obj := h.Get(oid)
-		if obj == nil {
-			continue
-		}
 		if obj.Weight < 1 || obj.Weight > heap.MaxWeight {
 			return fmt.Errorf("check: object %d weight %d outside [1,%d]", oid, obj.Weight, heap.MaxWeight)
 		}
 		if h.IsRoot(oid) && obj.Weight != 1 {
 			return fmt.Errorf("check: root object %d has weight %d, want 1", oid, obj.Weight)
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // Conservation verifies the byte and object accounting across the

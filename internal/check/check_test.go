@@ -1,6 +1,7 @@
 package check_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -110,6 +111,32 @@ func TestFaultInjectionDetected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "sim: audit after") {
 		t.Errorf("audit error lacks the simulator context wrapper: %v", err)
+	}
+}
+
+// TestAuditNamesLowestViolatingOID corrupts every resident object's
+// weight, so the per-object audits, which walk the partitions' resident
+// lists in no particular OID order, must still name the lowest resident
+// OID.
+func TestAuditNamesLowestViolatingOID(t *testing.T) {
+	s := runInto(t, testSim(core.NameMutatedPartition), testWorkload())
+	h := s.Heap()
+	lowest, n := heap.OID(0), 0
+	for p := 0; p < h.NumPartitions(); p++ {
+		h.Partition(heap.PartitionID(p)).Objects(func(oid heap.OID) {
+			if lowest == 0 || oid < lowest {
+				lowest = oid
+			}
+			h.Get(oid).Weight = 0
+			n++
+		})
+	}
+	if n < 2 {
+		t.Fatal("fewer than two resident objects; workload too small")
+	}
+	want := fmt.Sprintf("object %d weight 0", lowest)
+	if err := check.Weights(h); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Weights = %v, want an error naming %q", err, want)
 	}
 }
 

@@ -59,14 +59,12 @@ type Collector struct {
 	externalRoots func(victim heap.PartitionID, add func(heap.OID))
 	onDiscard     func(oid heap.OID)
 
-	// Per-evacuation scratch, reused across collections. seen is an
-	// epoch-stamped visited mark per OID: seen[oid] == seenEpoch means
-	// the object was enqueued (or found dead) this evacuation.
-	seen      []uint32
-	seenEpoch uint32
-	roots     []heap.OID
-	dead      []heap.OID
-	queue     copyQueue
+	// Per-evacuation scratch, reused across collections. The visited
+	// marks are the heap's (see heap.Heap.BeginMarks): an object is
+	// marked once this evacuation has taken it as a root or enqueued it.
+	roots []heap.OID
+	dead  []heap.OID
+	queue copyQueue
 }
 
 // CollectorStats aggregates collection activity.
@@ -191,37 +189,23 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 
 	// Roots: database roots resident in the victim plus the targets of
 	// its remembered set, in deterministic order.
-	c.seenEpoch++
-	if c.seenEpoch == 0 { // uint32 wraparound: old stamps become ambiguous
-		clear(c.seen)
-		c.seenEpoch = 1
-	}
-	if n := int(c.h.OIDBound()); n > len(c.seen) {
-		c.seen = append(c.seen, make([]uint32, n-len(c.seen))...)
-	}
+	c.h.BeginMarks()
 	roots := c.roots[:0]
 	c.h.Roots(func(oid heap.OID) {
-		if c.h.Get(oid).Partition == victim && c.seen[oid] != c.seenEpoch {
-			c.seen[oid] = c.seenEpoch
+		if c.take(c.h.Get(oid), victim) {
 			roots = append(roots, oid)
 		}
 	})
 	slices.Sort(roots)
 	c.rem.RootsInto(victim, func(_ remset.Entry, target heap.OID) {
-		if c.seen[target] != c.seenEpoch {
-			if obj := c.h.Get(target); obj != nil && obj.Partition == victim {
-				c.seen[target] = c.seenEpoch
-				roots = append(roots, target)
-			}
+		if c.take(c.h.Get(target), victim) {
+			roots = append(roots, target)
 		}
 	})
 	if c.externalRoots != nil {
 		c.externalRoots(victim, func(target heap.OID) {
-			if target < heap.OID(len(c.seen)) && c.seen[target] != c.seenEpoch {
-				if obj := c.h.Get(target); obj != nil && obj.Partition == victim {
-					c.seen[target] = c.seenEpoch
-					roots = append(roots, target)
-				}
+			if c.take(c.h.Get(target), victim) {
+				roots = append(roots, target)
 			}
 		})
 	}
@@ -252,21 +236,18 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 			q.setCurrentPage(oldFirst)
 			c.buf.ReadRange(pagebuf.PageID(oldFirst), pagebuf.PageID(oldLast), pagebuf.ActorGC)
 			c.h.Move(oid, dest)
-			c.rem.Moved(oid, victim, dest)
 			newFirst, newLast := c.h.ObjectPages(obj)
 			c.buf.WriteRange(pagebuf.PageID(newFirst), pagebuf.PageID(newLast), pagebuf.ActorGC)
 			res.CopiedBytes += obj.Size
 			res.CopiedObjects++
 			for _, f := range obj.Fields {
-				if f == heap.NilOID || c.seen[f] == c.seenEpoch {
+				if f == heap.NilOID {
 					continue
 				}
-				child := c.h.Get(f)
-				if child == nil || child.Partition != victim {
-					continue
+				if child := c.h.Get(f); c.take(child, victim) {
+					first, _ := c.h.ObjectPages(child)
+					q.push(f, first)
 				}
-				c.seen[f] = c.seenEpoch
-				q.push(f, c.pageOf(f))
 			}
 		}
 	}
@@ -274,8 +255,10 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 	// Everything still resident in the victim is garbage. Dead objects'
 	// inter-partition pointers are removed from the remembered sets they
 	// appear in, so later collections do not preserve objects reachable
-	// only from this garbage. Discarding performs no I/O: a copying
+	// only from this garbage, and the survivors' out-set memberships
+	// follow them to dest. Discarding performs no I/O: a copying
 	// collector never touches dead objects.
+	c.rem.Evacuated(victim, dest)
 	dead := c.dead[:0]
 	c.h.Partition(victim).Objects(func(oid heap.OID) { dead = append(dead, oid) })
 	slices.Sort(dead)
@@ -286,7 +269,6 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 		if c.onDiscard != nil {
 			c.onDiscard(oid)
 		}
-		c.rem.PurgeDeadEvacuating(oid, dest)
 		c.h.Discard(oid)
 	}
 
@@ -297,6 +279,12 @@ func (c *Collector) evacuate(victim heap.PartitionID) CollectionResult {
 	c.stats.add(res)
 	c.lifetime.add(res)
 	return res
+}
+
+// take reports whether obj (nil for an OID not resident) is resident in
+// the victim and not yet taken by this evacuation, and marks it taken.
+func (c *Collector) take(obj *heap.Object, victim heap.PartitionID) bool {
+	return obj != nil && obj.Partition == victim && c.h.Mark(obj)
 }
 
 // pageOf returns the first page of an object's current location.

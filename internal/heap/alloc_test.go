@@ -11,13 +11,13 @@ import "testing"
 // checked by the hotalloc analyzer; TestHotpathAnnotationsMatchGuards in
 // internal/analysis keeps the two sets in sync via the declarations below.
 //
-//odbgc:allocguard heap.Heap.Alloc heap.Heap.newObject heap.Heap.growTable heap.Heap.placeFor
+//odbgc:allocguard heap.Heap.Alloc heap.Heap.newObject heap.Heap.setIndex heap.Heap.placeFor
 //odbgc:allocguard heap.Heap.residentAdd heap.Heap.residentRemove heap.Heap.Discard
-//odbgc:allocguard heap.Heap.WriteField heap.Oracle.Live
+//odbgc:allocguard heap.Heap.WriteField heap.Oracle.Live heap.Heap.Mark
 
 func TestAllocSteadyStateZeroAllocs(t *testing.T) {
 	h := mustNew(t, testConfig())
-	// Warm up: create the object once so the table, the partition's
+	// Warm up: create the object once so the index page, the partition's
 	// resident list, and the object pool all have capacity.
 	mustAlloc(t, h, 1, 100, 4, NilOID)
 	h.Discard(1)

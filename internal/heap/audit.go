@@ -6,7 +6,7 @@ import (
 )
 
 // CheckInvariants verifies the heap's internal structural invariants —
-// the agreements between the object table, the per-partition resident
+// the agreements between the object index, the per-partition resident
 // lists, the incremental byte accounting, and the max-free partition
 // index — and returns a description of the first violation found, or nil.
 //
@@ -35,7 +35,7 @@ func (h *Heap) CheckInvariants() error {
 				return fmt.Errorf("heap: partition %d lists non-resident object %d", p.ID, oid)
 			}
 			if obj.OID != oid {
-				return fmt.Errorf("heap: object table slot %d holds OID %d", oid, obj.OID)
+				return fmt.Errorf("heap: object index slot %d holds OID %d", oid, obj.OID)
 			}
 			if obj.Partition != p.ID {
 				return fmt.Errorf("heap: object %d listed in partition %d but records partition %d", oid, p.ID, obj.Partition)
@@ -71,20 +71,29 @@ func (h *Heap) CheckInvariants() error {
 		return fmt.Errorf("heap: occupied %d exceeds total allocated %d", h.occupied, h.totalAllocated)
 	}
 
-	// Object-table census: every live table entry must be resident in
-	// exactly one partition (counted once above), and the root flags must
-	// agree with the root list.
+	// Object-index census: every live index entry must be resident in
+	// exactly one partition (counted once above) and lie below the OID
+	// bound, and the root flags must agree with the root list.
 	tableCount, rootFlags := 0, 0
-	for oid, obj := range h.table {
-		if obj == nil {
+	for pi, page := range h.index {
+		if page == nil {
 			continue
 		}
-		tableCount++
-		if obj.OID != OID(oid) {
-			return fmt.Errorf("heap: object table slot %d holds OID %d", oid, obj.OID)
-		}
-		if obj.root {
-			rootFlags++
+		for i, obj := range page {
+			if obj == nil {
+				continue
+			}
+			oid := OID(pi)<<indexPageBits | OID(i)
+			tableCount++
+			if obj.OID != oid {
+				return fmt.Errorf("heap: object index slot %d holds OID %d", oid, obj.OID)
+			}
+			if oid >= h.oidBound {
+				return fmt.Errorf("heap: object %d at or past the OID bound %d", oid, h.oidBound)
+			}
+			if obj.root {
+				rootFlags++
+			}
 		}
 	}
 	if tableCount != h.numObjects {

@@ -68,26 +68,47 @@ func (p *Partition) Objects(fn func(OID)) {
 	}
 }
 
-// maxDenseOID bounds the object table. OIDs index a slice-backed table, so
-// they must be allocated densely (the workload generators number them from
-// 1); an OID beyond this bound indicates a corrupt or hostile trace rather
-// than a real database.
-const maxDenseOID = OID(1) << 40
+// maxDenseOID bounds the OIDs the heap accepts: 2³², the width of the
+// trace's operand columns. The workload generators number OIDs densely
+// from 1, so an OID past the bound indicates a corrupt or hostile trace
+// rather than a real database. It caps the object index's directory at
+// 65,536 entries.
+const maxDenseOID = OID(1) << 32
+
+// The object index is two-level: a directory of fixed pages, each
+// resolving indexPageLen consecutive OIDs. A page is allocated the first
+// time an OID lands in it and is never copied or freed, so the index
+// costs 8 bytes per OID issued (rounded up to a page) and growing it
+// moves nothing.
+const (
+	indexPageBits = 16
+	indexPageLen  = 1 << indexPageBits
+)
+
+// indexPage resolves indexPageLen consecutive OIDs; nil entries are free.
+type indexPage [indexPageLen]*Object
 
 // Heap is the simulated object database: a growable sequence of partitions,
-// an object table, and a root set.
+// an object index, and a root set.
 //
-// The hot paths are map-free: the object table is a slice indexed by OID,
-// partition residency is a swap-remove slice with per-object back-indices,
-// and allocation placement consults an incrementally maintained max-free
-// priority index instead of scanning every partition.
+// The hot paths are map-free: the object index is a paged table indexed
+// by OID, partition residency is a swap-remove slice with per-object
+// back-indices, and allocation placement consults an incrementally
+// maintained max-free priority index instead of scanning every partition.
+// The object index is the only structure whose size follows the OIDs ever
+// issued; everything else, including the visited marks of the oracle and
+// the collector (see BeginMarks), is held per resident object.
 type Heap struct {
 	cfg   Config
 	parts []*Partition
 
-	// table resolves OIDs to objects; nil entries are free slots (never
-	// allocated, or discarded). numObjects counts the non-nil entries.
-	table      []*Object
+	// index resolves OIDs to objects through pages of indexPageLen
+	// entries; nil directory entries are pages no OID has landed in yet,
+	// and nil page entries are free slots (never allocated, or
+	// discarded). oidBound is one past the largest OID ever allocated;
+	// numObjects counts the non-nil entries.
+	index      []*indexPage
+	oidBound   OID
 	numObjects int
 	// pool recycles Object records discarded by the collector so
 	// steady-state allocation does not touch the Go heap.
@@ -107,6 +128,9 @@ type Heap struct {
 	// cfg.ReserveEmpty is false.
 	empty PartitionID
 
+	// markEpoch is the current visited-mark epoch (see BeginMarks).
+	markEpoch uint16
+
 	occupied       int64 // current bytes occupied across all partitions
 	totalAllocated int64 // cumulative bytes ever allocated
 	totalObjects   int64 // cumulative objects ever allocated
@@ -115,9 +139,9 @@ type Heap struct {
 // ErrObjectTooLarge is returned when an object cannot fit in a partition.
 var ErrObjectTooLarge = errors.New("heap: object larger than a partition")
 
-// ErrSparseOID is returned when an OID is too large for the dense object
-// table; OIDs must be allocated densely from 1.
-var ErrSparseOID = errors.New("heap: OID exceeds dense table bound")
+// ErrSparseOID is returned when an OID is at or past 2³², the largest OID
+// a trace can carry; OIDs must be allocated densely from 1.
+var ErrSparseOID = errors.New("heap: OID exceeds dense index bound")
 
 // New returns an empty heap with one allocatable partition, plus the
 // reserved empty partition if the configuration asks for one.
@@ -185,10 +209,15 @@ func (h *Heap) SetEmptyPartition(p PartitionID) {
 // Get returns the object with the given OID, or nil if no such object is
 // resident in the heap.
 func (h *Heap) Get(oid OID) *Object {
-	if oid >= OID(len(h.table)) {
+	pi := oid >> indexPageBits
+	if pi >= OID(len(h.index)) {
 		return nil
 	}
-	return h.table[oid]
+	page := h.index[pi]
+	if page == nil {
+		return nil
+	}
+	return page[oid&(indexPageLen-1)]
 }
 
 // Contains reports whether oid names a resident object.
@@ -197,10 +226,10 @@ func (h *Heap) Contains(oid OID) bool { return h.Get(oid) != nil }
 // Len reports the number of resident objects.
 func (h *Heap) Len() int { return h.numObjects }
 
-// OIDBound returns one past the largest OID ever resident. Scratch
-// structures indexed by OID (the oracle's mark array, the collector's
-// visited stamps) size themselves with it.
-func (h *Heap) OIDBound() OID { return OID(len(h.table)) }
+// OIDBound returns one past the largest OID ever allocated: the span of
+// OIDs the object index covers, and so, at 8 bytes per OID, what the
+// index costs.
+func (h *Heap) OIDBound() OID { return h.oidBound }
 
 // TotalAllocatedBytes reports the cumulative bytes ever allocated, including
 // bytes since reclaimed. This is the paper's "maximum allocated" axis.
@@ -266,8 +295,8 @@ type Grew struct {
 //
 // Alloc returns ErrObjectTooLarge if size exceeds the partition size, and
 // panics if oid is already resident (trace corruption). In steady state —
-// pool warm, table and resident slices at capacity — it must not allocate
-// (pinned by TestAllocDiscardZeroAllocs).
+// pool warm, index page present, resident slices at capacity — it must
+// not allocate (pinned by TestAllocSteadyStateZeroAllocs).
 //
 //odbgc:hotpath
 func (h *Heap) Alloc(oid OID, size int64, nfields int, parent OID) (*Object, Grew, error) {
@@ -297,10 +326,10 @@ func (h *Heap) Alloc(oid OID, size int64, nfields int, parent OID) (*Object, Gre
 	target.used += size
 	h.freeFix(target.ID)
 	h.residentAdd(target, obj)
-	if oid >= OID(len(h.table)) {
-		h.growTable(oid)
+	h.setIndex(oid, obj)
+	if oid >= h.oidBound {
+		h.oidBound = oid + 1
 	}
-	h.table[oid] = obj
 	h.numObjects++
 	h.occupied += size
 	h.totalAllocated += size
@@ -330,24 +359,25 @@ func (h *Heap) newObject(oid OID, size int64, nfields int) *Object {
 	obj.Size = size
 	obj.Weight = MaxWeight
 	obj.root = false
+	obj.mark = 0
 	return obj
 }
 
-// growTable extends the object table to cover oid, doubling so growth is
-// amortized O(1).
+// setIndex points oid's object-index entry at obj, allocating the
+// entry's page the first time an OID lands in it.
 //
 //odbgc:hotpath
-func (h *Heap) growTable(oid OID) {
-	n := len(h.table) * 2
-	if n <= int(oid) {
-		n = int(oid) + 1
+func (h *Heap) setIndex(oid OID, obj *Object) {
+	pi := int(oid >> indexPageBits)
+	if pi >= len(h.index) {
+		h.index = append(h.index, make([]*indexPage, pi+1-len(h.index))...) //odbgc:alloc-ok directory growth, at most 65,536 entries
 	}
-	if n < 64 {
-		n = 64
+	page := h.index[pi]
+	if page == nil {
+		page = new(indexPage) //odbgc:alloc-ok one page per 65,536 OIDs, never copied
+		h.index[pi] = page
 	}
-	grown := make([]*Object, n) //odbgc:alloc-ok amortized doubling of the object table
-	copy(grown, h.table)
-	h.table = grown
+	page[oid&(indexPageLen-1)] = obj
 }
 
 // residentAdd appends obj to p's resident set, recording its slot.
@@ -367,7 +397,7 @@ func (h *Heap) residentRemove(p *Partition, obj *Object) {
 	last := int32(len(p.objects) - 1)
 	moved := p.objects[last]
 	p.objects[i] = moved
-	h.table[moved].resIdx = i
+	h.Get(moved).resIdx = i
 	p.objects = p.objects[:last]
 	obj.resIdx = -1
 }
@@ -460,7 +490,7 @@ func (h *Heap) Discard(oid OID) {
 		panic(fmt.Sprintf("heap: Discard(%d): object is a root", oid)) //odbgc:alloc-ok cold panic path
 	}
 	h.residentRemove(h.parts[obj.Partition], obj)
-	h.table[oid] = nil
+	h.index[oid>>indexPageBits][oid&(indexPageLen-1)] = nil
 	h.numObjects--
 	h.pool = append(h.pool, obj) //odbgc:alloc-ok amortized pool growth
 }

@@ -2,7 +2,9 @@ package heap
 
 import (
 	"errors"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 func testConfig() Config {
@@ -98,6 +100,47 @@ func TestAllocRejectsBadSizes(t *testing.T) {
 	_, _, err := h.Alloc(3, h.Config().PartitionBytes()+1, 0, NilOID)
 	if !errors.Is(err, ErrObjectTooLarge) {
 		t.Errorf("oversized Alloc: err = %v, want ErrObjectTooLarge", err)
+	}
+}
+
+// TestAllocLargestOID: the largest OID a trace can carry costs one index
+// page plus the directory, not a table spanning every smaller OID, and
+// the first OID past it is refused with ErrSparseOID.
+func TestAllocLargestOID(t *testing.T) {
+	h := mustNew(t, testConfig())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const largest = OID(1)<<32 - 1
+	mustAlloc(t, h, largest, 100, 0, NilOID)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 2<<20 {
+		t.Errorf("Alloc(%d) grew the Go heap by %d bytes, want at most 2 MiB", largest, grew)
+	}
+	if got := h.Get(largest); got == nil || got.OID != largest {
+		t.Fatalf("Get(%d) = %v after Alloc", largest, got)
+	}
+	if got := h.OIDBound(); got != largest+1 {
+		t.Errorf("OIDBound = %d, want %d", got, largest+1)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := h.Alloc(largest+1, 100, 0, NilOID); !errors.Is(err, ErrSparseOID) {
+		t.Errorf("Alloc(%d): err = %v, want ErrSparseOID", largest+1, err)
+	}
+	if h.Get(largest+1) != nil || h.Len() != 1 {
+		t.Errorf("refused Alloc left an object behind (Len %d)", h.Len())
+	}
+	runtime.KeepAlive(h)
+}
+
+// TestObjectFitsCacheLine: the hot paths touch one Object per pointer
+// they follow, so the record stays within one 64-byte cache line.
+func TestObjectFitsCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(Object{}); got != 64 {
+		t.Fatalf("Object is %d bytes, want 64", got)
 	}
 }
 

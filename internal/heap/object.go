@@ -6,7 +6,7 @@
 //
 // The heap is the "logical and physical structure of the database
 // implementation being measured" from Section 4.2 of Cook, Wolf & Zorn.
-// Pointers are object identifiers (OIDs) resolved through an object table,
+// Pointers are object identifiers (OIDs) resolved through an object index,
 // so relocating an object during collection does not rewrite the pages of
 // objects that point to it; the paper's cost model (counted page I/Os) is
 // applied by the buffer manager in package pagebuf.
@@ -58,6 +58,10 @@ type Object struct {
 
 	// root marks membership in the database root set (see Heap.AddRoot).
 	root bool
+	// mark is the object's visited stamp (see Heap.BeginMarks). At 2
+	// bytes it fits the padding beside root, keeping the record at 64
+	// bytes: one cache line.
+	mark uint16
 	// resIdx is the object's slot in its partition's resident list, so
 	// removal is a swap-remove instead of a map delete.
 	resIdx int32

@@ -5,18 +5,19 @@ package heap
 // Section 3.1) and for the metrics the paper reports: live bytes, garbage
 // per partition, and unreclaimed garbage over time.
 //
-// Visited marks are epoch-stamped generation counters indexed by OID (the
-// object table is dense), so a reachability pass performs no hashing and no
-// up-front clearing: bumping the epoch invalidates every previous mark.
+// Visited marks are the heap's (see Heap.BeginMarks): an epoch stamp in
+// each Object, so a reachability pass performs no hashing, no up-front
+// clearing and no per-OID scratch — bumping the epoch invalidates every
+// previous mark.
 //
 // An Oracle holds reusable scratch space; it is not safe for concurrent
-// use, and each call invalidates the result of the previous one.
+// use, and each call invalidates the result of the previous one — and,
+// because the marks live in the heap, of every other oracle over the
+// same heap.
 type Oracle struct {
 	h     *Heap
-	marks []uint32 // marks[oid] == epoch ⇔ oid reached this pass
-	epoch uint32
-	list  []OID // live OIDs in discovery order, reused across passes
-	queue []OID
+	list  []*Object // live objects in discovery order, reused across passes
+	queue []*Object // marked objects whose fields are still to scan
 
 	garbage []int64 // GarbageByPartition scratch
 }
@@ -27,82 +28,72 @@ func NewOracle(h *Heap) *Oracle {
 }
 
 // LiveSet is the result of one reachability pass: a read-only view into the
-// oracle's scratch space, invalidated by the oracle's next call.
+// oracle's scratch space and the heap's marks, invalidated by the next
+// oracle call over the same heap and by any change to the heap.
 type LiveSet struct {
-	marks []uint32
-	epoch uint32
-	oids  []OID
+	h     *Heap
+	epoch uint16
+	objs  []*Object
 }
 
 // Contains reports whether oid was reachable when the set was computed.
 func (s LiveSet) Contains(oid OID) bool {
-	return oid < OID(len(s.marks)) && s.marks[oid] == s.epoch
+	obj := s.h.Get(oid)
+	return obj != nil && obj.mark == s.epoch
 }
 
 // Len reports the number of reachable objects.
-func (s LiveSet) Len() int { return len(s.oids) }
+func (s LiveSet) Len() int { return len(s.objs) }
 
 // ForEach calls fn for every reachable OID, in the deterministic order the
 // marking pass discovered them (roots first, then breadth of the forest).
 func (s LiveSet) ForEach(fn func(OID)) {
-	for _, oid := range s.oids {
-		fn(oid)
+	for _, obj := range s.objs {
+		fn(obj.OID)
 	}
 }
 
 // Live returns the set of OIDs reachable from the root set. The returned
 // view is scratch space owned by the oracle and is invalidated by the next
 // oracle call. With warm scratch buffers a traversal must not allocate
-// (pinned by TestOracleLiveZeroAllocs).
+// (pinned by TestOracleLiveAmortizedZeroAllocs).
 //
 //odbgc:hotpath
 func (o *Oracle) Live() LiveSet {
-	o.epoch++
-	if o.epoch == 0 { // uint32 wraparound: old stamps become ambiguous
-		clear(o.marks)
-		o.epoch = 1
-	}
-	if n := int(o.h.OIDBound()); n > len(o.marks) {
-		o.marks = append(o.marks, make([]uint32, n-len(o.marks))...) //odbgc:alloc-ok mark store grows only when the OID bound rises
-	}
+	h := o.h
+	h.BeginMarks()
 	o.list = o.list[:0]
 	o.queue = o.queue[:0]
-	o.h.Roots(func(r OID) { //odbgc:alloc-ok non-escaping closure; Roots does not retain fn
-		if o.marks[r] == o.epoch {
-			return
+	for _, r := range h.rootList {
+		if obj := h.Get(r); h.Mark(obj) {
+			o.list = append(o.list, obj)   //odbgc:alloc-ok amortized scratch growth
+			o.queue = append(o.queue, obj) //odbgc:alloc-ok amortized scratch growth
 		}
-		o.marks[r] = o.epoch
-		o.list = append(o.list, r)   //odbgc:alloc-ok amortized scratch growth
-		o.queue = append(o.queue, r) //odbgc:alloc-ok amortized scratch growth
-	})
+	}
 	for len(o.queue) > 0 {
-		oid := o.queue[len(o.queue)-1]
+		obj := o.queue[len(o.queue)-1]
 		o.queue = o.queue[:len(o.queue)-1]
-		obj := o.h.Get(oid)
 		for _, f := range obj.Fields {
 			if f == NilOID {
 				continue
 			}
-			if f < OID(len(o.marks)) && o.marks[f] == o.epoch {
+			child := h.Get(f)
+			if child == nil || !h.Mark(child) {
 				continue
 			}
-			if !o.h.Contains(f) {
-				continue
-			}
-			o.marks[f] = o.epoch
-			o.list = append(o.list, f)   //odbgc:alloc-ok amortized scratch growth
-			o.queue = append(o.queue, f) //odbgc:alloc-ok amortized scratch growth
+			o.list = append(o.list, child)   //odbgc:alloc-ok amortized scratch growth
+			o.queue = append(o.queue, child) //odbgc:alloc-ok amortized scratch growth
 		}
 	}
-	return LiveSet{marks: o.marks, epoch: o.epoch, oids: o.list}
+	return LiveSet{h: h, epoch: h.markEpoch, objs: o.list}
 }
 
 // LiveBytes returns the total size of all reachable objects.
 func (o *Oracle) LiveBytes() int64 {
 	o.Live()
 	var n int64
-	for _, oid := range o.list {
-		n += o.h.Get(oid).Size
+	for _, obj := range o.list {
+		n += obj.Size
 	}
 	return n
 }
@@ -120,8 +111,7 @@ func (o *Oracle) GarbageByPartition() []int64 {
 	for id := range o.garbage {
 		o.garbage[id] = o.h.Partition(PartitionID(id)).Used()
 	}
-	for _, oid := range o.list {
-		obj := o.h.Get(oid)
+	for _, obj := range o.list {
 		o.garbage[obj.Partition] -= obj.Size
 	}
 	return o.garbage

@@ -1,6 +1,9 @@
 package heap
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // buildGraph allocates a small object graph:
 //
@@ -147,5 +150,27 @@ func TestOracleIgnoresDanglingFields(t *testing.T) {
 	h.Discard(2)
 	if got := NewOracle(h).LiveBytes(); got != 100 {
 		t.Fatalf("LiveBytes = %d, want 100", got)
+	}
+}
+
+// TestMarkEpochWraparound: when a mark set's epoch wraps, the stamps left
+// by earlier passes must be cleared, or objects stamped in the pass that
+// used epoch 1 would look already visited to the pass after the wrap.
+func TestMarkEpochWraparound(t *testing.T) {
+	h := mustNew(t, testConfig())
+	for oid := OID(1); oid <= 3; oid++ {
+		mustAlloc(t, h, oid, 100, 1, NilOID)
+	}
+	h.AddRoot(1)
+	h.WriteField(1, 0, 2)
+	h.WriteField(2, 0, 3)
+	o := NewOracle(h)
+	if n := o.Live().Len(); n != 3 {
+		t.Fatalf("first pass: %d live, want 3", n)
+	}
+	h.markEpoch = math.MaxUint16 // the next pass wraps to epoch 1
+	live := o.Live()
+	if live.Len() != 3 || !live.Contains(3) {
+		t.Fatalf("pass after wraparound: %d live (contains 3: %v), want 3", live.Len(), live.Contains(3))
 	}
 }

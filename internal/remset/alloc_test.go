@@ -14,7 +14,7 @@ import (
 // internal/analysis keeps the two sets in sync via the declarations below.
 //
 //odbgc:allocguard remset.Table.PointerWrite remset.Table.add remset.Table.remove
-//odbgc:allocguard remset.Table.inAt remset.Table.outAt remset.Table.countAt
+//odbgc:allocguard remset.Table.inAt remset.Table.outAt
 //odbgc:allocguard remset.inSet.add remset.inSet.remove remset.outSet.add remset.outSet.remove
 func TestPointerWriteZeroAllocs(t *testing.T) {
 	h, src, target := buildHeap(t)

@@ -2,6 +2,7 @@ package remset
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -56,9 +57,12 @@ func TestTableStaysExactUnderRandomWrites(t *testing.T) {
 }
 
 // TestPurgeAndRekeyPreserveExactness simulates the collector's interaction
-// with the table: random writes, then an evacuation of one partition
-// (moving every resident with no liveness analysis, which is a legal
-// degenerate collection where everything survives), then more writes.
+// with the table: random writes, then an evacuation of one partition, then
+// more writes. The evacuation keeps every remembered-set target (they are
+// collection roots) and a random share of the other residents, and
+// discards the rest with no liveness analysis: survivors' pointers to
+// discarded objects dangle, which the table must tolerate as the
+// collector's nulling-free discard does.
 func TestPurgeAndRekeyPreserveExactness(t *testing.T) {
 	f := func(seed int64, nOps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -73,7 +77,7 @@ func TestPurgeAndRekeyPreserveExactness(t *testing.T) {
 			}
 		}
 		tab := New(h)
-		doWrites := func(n int) bool {
+		doWrites := func(n int) {
 			for i := 0; i < n; i++ {
 				src := heap.OID(rng.Intn(nObjs) + 1)
 				field := rng.Intn(3)
@@ -81,28 +85,35 @@ func TestPurgeAndRekeyPreserveExactness(t *testing.T) {
 				if rng.Intn(3) != 0 {
 					target = heap.OID(rng.Intn(nObjs) + 1)
 				}
+				if !h.Contains(src) || (target != heap.NilOID && !h.Contains(target)) {
+					continue
+				}
 				old := h.WriteField(src, field, target)
 				tab.PointerWrite(src, field, old, target)
 			}
-			return true
 		}
 		doWrites(int(nOps) + 1)
 
-		// Evacuate partition 0 wholesale into the empty partition.
+		// Evacuate partition 0 into the empty partition.
 		victim := heap.PartitionID(0)
 		dest := h.EmptyPartition()
+		keep := make(map[heap.OID]bool)
+		tab.RootsInto(victim, func(_ Entry, target heap.OID) { keep[target] = true })
 		var residents []heap.OID
 		h.Partition(victim).Objects(func(oid heap.OID) { residents = append(residents, oid) })
+		slices.Sort(residents)
+		var dead []heap.OID
 		for _, oid := range residents {
-			h.Move(oid, dest)
-			tab.Moved(oid, victim, dest)
+			if keep[oid] || rng.Intn(2) == 0 {
+				h.Move(oid, dest)
+			} else {
+				dead = append(dead, oid)
+			}
 		}
-		// Moving objects between partitions can turn inter-partition
-		// pointers among them into intra-partition ones and vice versa:
-		// here every victim resident moved together, so pointers among
-		// them stay intra... they were intra (both in victim) and remain
-		// intra (both in dest). Pointers from dest residents outward and
-		// inward are handled by Rekey.
+		tab.Evacuated(victim, dest)
+		for _, oid := range dead {
+			h.Discard(oid)
+		}
 		h.ResetPartition(victim)
 		tab.Rekey(victim, dest)
 		h.SetEmptyPartition(victim)

@@ -16,8 +16,10 @@
 // The write barrier is the hottest path in the simulator, so the stores are
 // flat: each partition keeps its entries in a slice keyed by the packed
 // location Src<<16|Field (one map lookup per mutation, no struct hashing),
-// out-counts live in a dense slice indexed by OID, and the sorted
+// each object's out-count lives beside its out-set entry, and the sorted
 // enumerations reuse scratch buffers instead of allocating per collection.
+// Nothing here is indexed by OID, so the table's memory follows the
+// pointers it records, not the OIDs ever issued.
 package remset
 
 import (
@@ -96,33 +98,61 @@ func (s *inSet) remove(k uint64) bool {
 }
 
 // outSet is one partition's out-of-partition set: the resident OIDs holding
-// inter-partition out-pointers, slice plus membership index.
+// inter-partition out-pointers, each with its out-count — how many of its
+// fields hold such pointers, which keeps membership precise — as parallel
+// slices plus a membership index.
 type outSet struct {
-	oids []heap.OID
-	pos  map[heap.OID]int32
+	oids   []heap.OID
+	counts []int32
+	pos    map[heap.OID]int32
 }
 
+// count reports oid's out-count: 0 when oid is not a member.
+func (s *outSet) count(oid heap.OID) int32 {
+	if i, ok := s.pos[oid]; ok {
+		return s.counts[i]
+	}
+	return 0
+}
+
+// add raises oid's out-count by one, adding oid to the set if it is not
+// a member.
+//
 //odbgc:hotpath
 func (s *outSet) add(oid heap.OID) {
+	if i, ok := s.pos[oid]; ok {
+		s.counts[i]++
+		return
+	}
 	if s.pos == nil {
 		s.pos = make(map[heap.OID]int32) //odbgc:alloc-ok one-time lazy index for a partition's first out-pointer
 	}
 	s.pos[oid] = int32(len(s.oids))
-	s.oids = append(s.oids, oid) //odbgc:alloc-ok amortized slice growth
+	s.oids = append(s.oids, oid)   //odbgc:alloc-ok amortized slice growth
+	s.counts = append(s.counts, 1) //odbgc:alloc-ok amortized slice growth
 }
 
+// remove lowers oid's out-count by one, dropping oid from the set at zero.
+// It reports false when oid is not a member.
+//
 //odbgc:hotpath
-func (s *outSet) remove(oid heap.OID) {
+func (s *outSet) remove(oid heap.OID) bool {
 	i, ok := s.pos[oid]
 	if !ok {
-		return
+		return false
+	}
+	if s.counts[i]--; s.counts[i] != 0 {
+		return true
 	}
 	last := int32(len(s.oids) - 1)
 	moved := s.oids[last]
 	s.oids[i] = moved
+	s.counts[i] = s.counts[last]
 	s.pos[moved] = i
 	s.oids = s.oids[:last]
+	s.counts = s.counts[:last]
 	delete(s.pos, oid)
+	return true
 }
 
 // Table holds the remembered sets and out-of-partition sets for a heap.
@@ -132,11 +162,8 @@ type Table struct {
 	// points into P, with the target OID it held when recorded.
 	in []inSet
 	// out[P] is the set of P-resident objects with at least one
-	// inter-partition out-pointer.
+	// inter-partition out-pointer, with their out-counts.
 	out []outSet
-	// outCount[oid] is how many of the object's fields currently hold
-	// inter-partition pointers, so out-set membership stays precise.
-	outCount []int32
 
 	// scratch buffers for the sorted enumerations, reused per collection.
 	entryScratch []inEntry
@@ -168,26 +195,6 @@ func (t *Table) outAt(p heap.PartitionID) *outSet {
 	return &t.out[p]
 }
 
-// countAt returns a pointer to oid's out-count, growing the store on
-// demand.
-//
-//odbgc:hotpath
-func (t *Table) countAt(oid heap.OID) *int32 {
-	if int(oid) >= len(t.outCount) {
-		n := len(t.outCount) * 2
-		if n <= int(oid) {
-			n = int(oid) + 1
-		}
-		if n < 64 {
-			n = 64
-		}
-		grown := make([]int32, n) //odbgc:alloc-ok amortized doubling of the out-count store
-		copy(grown, t.outCount)
-		t.outCount = grown
-	}
-	return &t.outCount[oid]
-}
-
 // PointerWrite records the effect of storing new into field f of src,
 // whose previous value was old. It must be called at the write barrier for
 // every pointer store, after the heap mutation. Either OID may be nil.
@@ -214,11 +221,7 @@ func (t *Table) add(target heap.PartitionID, src heap.OID, f int, to heap.OID, s
 	if !t.inAt(target).add(packKey(src, f), to) {
 		panic(fmt.Sprintf("remset: duplicate entry %+v into partition %d", Entry{src, f}, target)) //odbgc:alloc-ok cold panic path
 	}
-	cnt := t.countAt(src)
-	*cnt++
-	if *cnt == 1 {
-		t.outAt(srcPart).add(src)
-	}
+	t.outAt(srcPart).add(src)
 }
 
 //odbgc:hotpath
@@ -226,33 +229,31 @@ func (t *Table) remove(target heap.PartitionID, src heap.OID, f int, srcPart hea
 	if !t.inAt(target).remove(packKey(src, f)) {
 		panic(fmt.Sprintf("remset: removing absent entry %+v from partition %d", Entry{src, f}, target)) //odbgc:alloc-ok cold panic path
 	}
-	cnt := t.countAt(src)
-	*cnt--
-	switch {
-	case *cnt < 0:
+	if !t.outAt(srcPart).remove(src) {
 		panic(fmt.Sprintf("remset: negative out-count for %d", src)) //odbgc:alloc-ok cold panic path
-	case *cnt == 0:
-		t.outAt(srcPart).remove(src)
 	}
 }
 
 // PurgeDead removes every remembered-set entry whose source is the given
 // object, which the collector has determined to be garbage. It must run
 // while the object's fields are still intact, before heap.Discard.
-func (t *Table) PurgeDead(oid heap.OID) { t.PurgeDeadEvacuating(oid, heap.NoPartition) }
-
-// PurgeDeadEvacuating is PurgeDead during an evacuation of the dead
-// object's partition into dest: pointers from the dead object to objects
-// already moved into dest were intra-partition before the move (dest was
-// empty), so they have no remembered-set entries and are skipped.
-func (t *Table) PurgeDeadEvacuating(oid heap.OID, dest heap.PartitionID) {
+func (t *Table) PurgeDead(oid heap.OID) {
 	obj := t.h.Get(oid)
 	if obj == nil {
 		panic(fmt.Sprintf("remset: PurgeDead(%d): no such object", oid))
 	}
-	if t.OutCount(oid) == 0 {
-		return
+	if t.OutCount(oid) != 0 {
+		t.purge(obj, heap.NoPartition)
 	}
+}
+
+// purge removes the remembered-set entries of dead obj's fields. During
+// an evacuation of obj's partition into dest, pointers from obj to objects
+// already moved into dest were intra-partition before the move (dest was
+// empty), so they have no remembered-set entries and are skipped; dest is
+// heap.NoPartition otherwise.
+func (t *Table) purge(obj *heap.Object, dest heap.PartitionID) {
+	oid := obj.OID
 	for f, target := range obj.Fields {
 		if target == heap.NilOID {
 			continue
@@ -271,17 +272,39 @@ func (t *Table) PurgeDeadEvacuating(oid heap.OID, dest heap.PartitionID) {
 	}
 }
 
-// Moved records that a (surviving) object was relocated from partition
-// `from` to partition `to` during collection: its out-set membership
-// follows it. Its remembered-set entries are keyed by OID and need no
-// update here; Rekey handles the entries pointing *into* the collected
-// partition.
-func (t *Table) Moved(oid heap.OID, from, to heap.PartitionID) {
-	if t.OutCount(oid) == 0 {
+// Evacuated updates the out-sets for an evacuation of victim into dest,
+// the empty partition. It must run after the survivors have moved into
+// dest and before the rest of victim is discarded. The members of
+// victim's out-set still resident there are garbage: their
+// remembered-set entries are purged, in ascending OID order, exactly as
+// PurgeDead would. The remaining members moved into dest, and their
+// out-set memberships follow them. Their remembered-set entries are keyed
+// by OID and need no update; Rekey handles the entries pointing *into*
+// victim. The work is proportional to victim's out-set, not to the
+// objects evacuated.
+func (t *Table) Evacuated(victim, dest heap.PartitionID) {
+	if int(victim) >= len(t.out) || len(t.out[victim].oids) == 0 {
 		return
 	}
-	t.outAt(from).remove(oid)
-	t.outAt(to).add(oid)
+	dead := t.oidScratch[:0]
+	for _, oid := range t.out[victim].oids {
+		if t.h.Get(oid).Partition == victim {
+			dead = append(dead, oid)
+		}
+	}
+	slices.Sort(dead)
+	t.oidScratch = dead
+	for _, oid := range dead {
+		t.purge(t.h.Get(oid), dest)
+	}
+	// Only survivors are left. Swap the sets so the victim keeps dest's
+	// (empty) buffers for reuse.
+	t.outAt(dest) // ensure the store exists
+	v, d := &t.out[victim], &t.out[dest]
+	if len(d.oids) != 0 {
+		panic(fmt.Sprintf("remset: Evacuated into partition %d, whose out-set is not empty", dest))
+	}
+	*d, *v = *v, *d
 }
 
 // Rekey transfers the remembered set of an evacuated partition to the
@@ -369,12 +392,14 @@ func (t *Table) OutSet(p heap.PartitionID, fn func(heap.OID)) {
 	}
 }
 
-// OutCount reports how many of oid's fields hold inter-partition pointers.
+// OutCount reports how many of oid's fields hold inter-partition pointers
+// (0 for an OID not resident).
 func (t *Table) OutCount(oid heap.OID) int {
-	if int(oid) >= len(t.outCount) {
+	obj := t.h.Get(oid)
+	if obj == nil || int(obj.Partition) >= len(t.out) {
 		return 0
 	}
-	return int(t.outCount[oid])
+	return int(t.out[obj.Partition].count(oid))
 }
 
 // CorruptFirstEntryForTesting flips the recorded target OID of one

@@ -177,7 +177,7 @@ func TestMovedFollowsOutSet(t *testing.T) {
 	from := h.Get(a).Partition
 	dest := h.EmptyPartition()
 	h.Move(a, dest)
-	tab.Moved(a, from, dest)
+	tab.Evacuated(from, dest)
 
 	var fromOuts, destOuts []heap.OID
 	tab.OutSet(from, func(oid heap.OID) { fromOuts = append(fromOuts, oid) })
@@ -269,7 +269,7 @@ func TestPurgeDeadMissingObjectPanics(t *testing.T) {
 func TestMovedWithoutOutPointersIsNoop(t *testing.T) {
 	h, a, _ := buildHeap(t)
 	tab := New(h)
-	tab.Moved(a, h.Get(a).Partition, h.EmptyPartition()) // no out-pointers
+	tab.Evacuated(h.Get(a).Partition, h.EmptyPartition()) // no out-pointers
 	if msg := tab.Audit(); msg != "" {
 		t.Fatal(msg)
 	}
